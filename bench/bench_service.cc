@@ -100,19 +100,6 @@ int main(int argc, char** argv) {
   }
   serve::Server* server = opened.value().get();
 
-  // The store's table names, reconstructed the way the persist step
-  // builds them: "m<i>:<attr1>,<attr2>,..." (release/pipeline.cc).
-  std::vector<std::string> table_names;
-  table_names.reserve(released.size());
-  for (size_t t = 0; t < released.size(); ++t) {
-    std::string name = "m" + std::to_string(t);
-    for (size_t c = 0; c + 1 < released[t].header.size(); ++c) {
-      name += (c == 0 ? ":" : ",");
-      name += released[t].header[c];
-    }
-    table_names.push_back(std::move(name));
-  }
-
   // Flatten (table, row) request targets so clients can stride cheaply.
   std::vector<std::pair<size_t, size_t>> targets;
   for (size_t t = 0; t < released.size(); ++t) {
@@ -165,7 +152,7 @@ int main(int argc, char** argv) {
                        static_cast<size_t>(r)) % targets.size()];
           const auto& want = released[t].rows[row];
           serve::LookupRequest lookup;
-          lookup.table = table_names[t];
+          lookup.table = released[t].name;
           lookup.values.clear();
           for (size_t a = 0; a + 1 < released[t].header.size(); ++a) {
             lookup.values[released[t].header[a]] = want[a];

@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "common/csv.h"
 #include "common/flags.h"
 #include "lodes/generator.h"
 #include "release/pipeline.h"
@@ -107,7 +108,8 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < released.value().size(); ++i) {
     const std::string path =
         i == 0 ? out : out + "." + std::to_string(i + 1);
-    if (auto st = released.value()[i].WriteCsv(path); !st.ok()) {
+    const release::ReleasedTable& table = released.value()[i];
+    if (auto st = WriteCsvFile(path, table.header, table.rows); !st.ok()) {
       std::cerr << st.ToString() << "\n";
       return 1;
     }
@@ -116,7 +118,7 @@ int main(int argc, char** argv) {
         source == "exact-hit" ? "grouping: the fused scan (exact hit)"
                               : "rolled up from: " + source;
     std::printf("wrote %zu protected cells to %s (%s)\n",
-                released.value()[i].rows.size(), path.c_str(),
+                table.rows.size(), path.c_str(),
                 provenance.c_str());
   }
   std::printf("full-table scans for the whole workload: %d\n",

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <thread>
 
 #include "common/stats.h"
+#include "common/workers.h"
 
 namespace eep::eval {
 
@@ -120,18 +120,9 @@ Result<StratifiedError> ExperimentRunner::RunErrorTrials(
 
   const int threads =
       std::clamp(config_.threads, 1, std::max(1, config_.trials));
-  if (threads <= 1) {
-    for (int t = 0; t < config_.trials; ++t) run_trial(t);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (int w = 0; w < threads; ++w) {
-      pool.emplace_back([&, w]() {
-        for (int t = w; t < config_.trials; t += threads) run_trial(t);
-      });
-    }
-    for (auto& worker : pool) worker.join();
-  }
+  RunWorkers(threads, [&](int w) {
+    for (int t = w; t < config_.trials; t += threads) run_trial(t);
+  });
 
   for (int t = 0; t < config_.trials; ++t) {
     EEP_RETURN_NOT_OK(statuses[t]);

@@ -38,11 +38,15 @@ Result<ServedTable> ServedTable::Build(store::TableData data) {
   table.by_rank_ = table.by_key_;
   std::sort(table.by_key_.begin(), table.by_key_.end(),
             [&table](uint32_t a, uint32_t b) { return table.RowKeyLess(a, b); });
+  // Parse each count once up front; parsing inside the comparator would
+  // run two strtod calls per comparison.
+  std::vector<double> counts(n);
+  for (size_t i = 0; i < n; ++i) {
+    counts[i] = ParseCount(table.data_.rows[i].back());
+  }
   std::sort(table.by_rank_.begin(), table.by_rank_.end(),
-            [&table](uint32_t a, uint32_t b) {
-              const double ca = ParseCount(table.data_.rows[a].back());
-              const double cb = ParseCount(table.data_.rows[b].back());
-              if (ca != cb) return ca > cb;
+            [&table, &counts](uint32_t a, uint32_t b) {
+              if (counts[a] != counts[b]) return counts[a] > counts[b];
               return table.RowKeyLess(a, b);
             });
   return table;

@@ -6,7 +6,8 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
-#include <thread>
+
+#include "common/workers.h"
 
 namespace eep::table {
 namespace {
@@ -16,20 +17,6 @@ namespace {
 // per-partition overhead amortizes.
 constexpr size_t kTargetPartitionRows = size_t{1} << 16;
 constexpr size_t kMaxPartitions = 1024;
-
-// Runs fn(worker_index) on `threads` workers; the caller is worker 0.
-template <typename Fn>
-void RunWorkers(int threads, Fn&& fn) {
-  if (threads <= 1) {
-    fn(0);
-    return;
-  }
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<size_t>(threads) - 1);
-  for (int w = 1; w < threads; ++w) pool.emplace_back([&fn, w] { fn(w); });
-  fn(0);
-  for (auto& t : pool) t.join();
-}
 
 int BitWidth(uint64_t v) { return v == 0 ? 0 : 64 - __builtin_clzll(v); }
 
@@ -49,7 +36,7 @@ struct PartitionPlan {
 // choice concatenates to the same output.
 PartitionPlan PlanFor(size_t n, uint64_t domain, int num_threads) {
   PartitionPlan plan;
-  plan.threads = ResolveGroupByThreads(num_threads);
+  plan.threads = ResolveThreads(num_threads);
   const size_t target =
       std::min(kMaxPartitions,
                std::max<size_t>(n / kTargetPartitionRows + 1,
@@ -226,15 +213,6 @@ std::vector<size_t> CursorsFromHists(std::vector<CompressedBlock>* blocks,
 
 }  // namespace
 
-int ResolveGroupByThreads(int num_threads) {
-  if (num_threads > 0) return num_threads;
-  return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-}
-
-void RunOnWorkers(int threads, const std::function<void(int)>& fn) {
-  RunWorkers(threads, fn);
-}
-
 std::vector<uint64_t> MaterializeGroupKeys(const Table& table,
                                            const GroupKeyCodec& codec,
                                            int num_threads) {
@@ -247,7 +225,7 @@ std::vector<uint64_t> MaterializeGroupKeys(const Table& table,
     columns.push_back(table.column(idx).codes().data());
   }
   const auto& radices = codec.radices();
-  const int threads = ResolveGroupByThreads(num_threads);
+  const int threads = ResolveThreads(num_threads);
   const size_t block =
       (n + static_cast<size_t>(threads) - 1) / static_cast<size_t>(threads);
   // eep-lint: disjoint-writes -- worker w writes keys[begin, end) only,

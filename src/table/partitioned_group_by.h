@@ -24,7 +24,6 @@
 #define EEP_TABLE_PARTITIONED_GROUP_BY_H_
 
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -32,17 +31,6 @@
 #include "table/table.h"
 
 namespace eep::table {
-
-/// Resolves a requested worker count: values <= 0 mean
-/// std::thread::hardware_concurrency() (at least 1).
-int ResolveGroupByThreads(int num_threads);
-
-/// Runs fn(worker_index) for worker_index in [0, threads); the caller's
-/// thread is worker 0. The work split across workers must never affect
-/// results — every parallel phase in this engine (and in rollup.cc) keeps
-/// the determinism contract by making each worker's output a pure function
-/// of a key-range of the input.
-void RunOnWorkers(int threads, const std::function<void(int)>& fn);
 
 /// Columnwise fused key packing: keys[row] = codec.Pack(codes of row),
 /// computed as one contiguous multiply-add sweep per group column.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/workers.h"
 #include "table/partitioned_group_by.h"
 
 namespace eep::table {
@@ -142,13 +143,13 @@ GroupedCounts PrefixMergeRollup(const GroupedCounts& base,
   GroupedCounts result{std::move(coarse_codec), {}};
   const auto& cells = base.cells;
   if (cells.empty()) return result;
-  const int threads = std::min<int>(ResolveGroupByThreads(num_threads),
+  const int threads = std::min<int>(ResolveThreads(num_threads),
                                     static_cast<int>(cells.size()));
   const std::vector<size_t> bounds = RunAlignedBounds(cells, divisor, threads);
 
   std::vector<std::vector<GroupedCell>> per_worker(
       static_cast<size_t>(threads));
-  RunOnWorkers(threads, [&](int w) {
+  RunWorkers(threads, [&](int w) {
     const size_t begin = bounds[static_cast<size_t>(w)];
     const size_t end = bounds[static_cast<size_t>(w) + 1];
     auto& out = per_worker[static_cast<size_t>(w)];
@@ -263,13 +264,13 @@ Result<GroupedCounts> RollupGroupedCounts(const GroupedCounts& base,
   std::vector<int64_t> estabs(items);
   std::vector<int64_t> weights(items);
   const int threads =
-      std::min<int>(ResolveGroupByThreads(num_threads),
+      std::min<int>(ResolveThreads(num_threads),
                     std::max<int>(1, static_cast<int>(num_cells)));
   const std::vector<size_t> bounds = ItemBalancedCellBounds(offsets, threads);
   // eep-lint: disjoint-writes -- worker w fills keys/estabs/weights at
   // slots [offsets[bounds[w]], offsets[bounds[w+1]]), a partition of the
   // flattened item range.
-  RunOnWorkers(threads, [&](int w) {
+  RunWorkers(threads, [&](int w) {
     size_t slot = offsets[bounds[static_cast<size_t>(w)]];
     for (size_t c = bounds[static_cast<size_t>(w)];
          c < bounds[static_cast<size_t>(w) + 1]; ++c) {
@@ -318,13 +319,13 @@ Result<std::vector<std::pair<uint64_t, int64_t>>> RollupKeyCounts(
   std::vector<uint64_t> keys(base.size());
   std::vector<int64_t> weights(base.size());
   const int threads =
-      std::min<int>(ResolveGroupByThreads(num_threads),
+      std::min<int>(ResolveThreads(num_threads),
                     std::max<int>(1, static_cast<int>(base.size())));
   const size_t block = (base.size() + static_cast<size_t>(threads) - 1) /
                        static_cast<size_t>(threads);
   // eep-lint: disjoint-writes -- worker w projects into keys/weights at
   // [begin, end) only, its contiguous block of base items.
-  RunOnWorkers(threads, [&](int w) {
+  RunWorkers(threads, [&](int w) {
     const size_t begin = static_cast<size_t>(w) * block;
     const size_t end = std::min(base.size(), begin + block);
     for (size_t i = begin; i < end; ++i) {

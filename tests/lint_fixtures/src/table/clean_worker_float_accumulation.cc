@@ -6,7 +6,7 @@
 
 namespace fixture {
 
-void RunOnWorkers(int threads, const std::function<void(int)>& fn);
+void RunWorkers(int threads, const std::function<void(int)>& fn);
 
 double SumDeterministic(const std::vector<double>& values, int threads) {
   std::vector<double> partials(static_cast<size_t>(threads), 0.0);
@@ -14,7 +14,7 @@ double SumDeterministic(const std::vector<double>& values, int threads) {
                        static_cast<size_t>(threads);
   // eep-lint: disjoint-writes -- worker w writes partials[w] only, from a
   // body-local accumulator.
-  RunOnWorkers(threads, [&](int w) {
+  RunWorkers(threads, [&](int w) {
     const size_t begin = static_cast<size_t>(w) * block;
     const size_t end =
         begin + block < values.size() ? begin + block : values.size();

@@ -7,14 +7,14 @@
 
 namespace fixture {
 
-void RunOnWorkers(int threads, const std::function<void(int)>& fn);
+void RunWorkers(int threads, const std::function<void(int)>& fn);
 
 std::vector<int> CollectDisjoint(int threads) {
   std::vector<int> results(static_cast<size_t>(threads));
   std::atomic<int> started{0};
   // eep-lint: disjoint-writes -- worker w writes results[w] only; slots
   // partition the output vector.
-  RunOnWorkers(threads, [&](int w) {
+  RunWorkers(threads, [&](int w) {
     started.fetch_add(1, std::memory_order_relaxed);
     results[static_cast<size_t>(w)] = w;
   });

@@ -12,11 +12,11 @@ class Rng {
   Rng Substream(uint64_t stream) const;
 };
 
-void RunOnWorkers(int threads, const std::function<void(int)>& fn);
+void RunWorkers(int threads, const std::function<void(int)>& fn);
 
 void ShardedNoise(const Rng& root, double* out, int shards) {
   // eep-lint: disjoint-writes -- worker w writes out[w] only.
-  RunOnWorkers(shards, [&](int w) {
+  RunWorkers(shards, [&](int w) {
     Rng shard_rng = root.Substream(static_cast<uint64_t>(w));
     out[w] = shard_rng.Uniform();
   });

@@ -4,11 +4,11 @@
 
 namespace fixture {
 
-void RunOnWorkers(int threads, const std::function<void(int)>& fn);
+void RunWorkers(int threads, const std::function<void(int)>& fn);
 
 double SumRacy(const double* values, int threads) {
   double total = 0.0;
-  RunOnWorkers(threads, [&](int w) {
+  RunWorkers(threads, [&](int w) {
     total += values[w];
   });
   return total;

@@ -5,11 +5,11 @@
 
 namespace fixture {
 
-void RunOnWorkers(int threads, const std::function<void(int)>& fn);
+void RunWorkers(int threads, const std::function<void(int)>& fn);
 
 std::vector<int> CollectRacy(int threads) {
   std::vector<int> results;
-  RunOnWorkers(threads, [&](int w) {
+  RunWorkers(threads, [&](int w) {
     results.push_back(w);
   });
   return results;

@@ -12,10 +12,10 @@ class Rng {
   Rng Substream(uint64_t stream) const;
 };
 
-void RunOnWorkers(int threads, const std::function<void(int)>& fn);
+void RunWorkers(int threads, const std::function<void(int)>& fn);
 
 double RacyNoise(Rng& rng, int shards) {
-  RunOnWorkers(shards, [&](int w) {
+  RunWorkers(shards, [&](int w) {
     double draw = rng.Uniform();
     (void)w;
     (void)draw;

@@ -268,6 +268,7 @@ TEST_F(ServeTest, ReleaseToServeEndToEnd) {
   for (size_t i = 0; i < released.value().size(); ++i) {
     const release::ReleasedTable& want = released.value()[i];
     const ServedTable& served = snap->tables()[i];
+    EXPECT_EQ(served.name(), want.name);
     EXPECT_EQ(served.header(), want.header);
     ASSERT_EQ(served.num_rows(), want.rows.size());
     for (const auto& row : want.rows) {

@@ -1,9 +1,10 @@
 // Fused workload engine: every marginal computed by ComputeWorkload (one
 // shared scan + cube roll-ups) must be bit-identical to the independent
 // MarginalQuery::Compute on random datasets for every thread count, and
-// RunReleaseWorkload must release tables bit-identical to running
-// RunRelease once per marginal with the same rng — the determinism
-// contract the whole fused path rests on (docs/ARCHITECTURE.md).
+// RunReleaseWorkload must release tables bit-identical to running one
+// one-marginal RunReleaseWorkload per marginal with the same rng — the
+// determinism contract the whole fused path rests on
+// (docs/ARCHITECTURE.md).
 #include <gtest/gtest.h>
 
 #include "lodes/generator.h"
@@ -193,22 +194,24 @@ TEST(RunReleaseWorkloadTest, BitIdenticalToIndependentReleases) {
   const lodes::LodesDataset data = MakeDataset(21, /*jobs=*/8000,
                                                /*places=*/10);
   for (bool round_counts : {true, false}) {
-    // Independent path: one RunRelease per marginal off one caller rng.
+    // Independent path: one one-marginal release per marginal off one
+    // caller rng.
     Rng independent_rng(4242);
     std::vector<release::ReleasedTable> independent;
     for (const MarginalSpec& spec :
          WorkloadSpec::PaperTabulations().marginals) {
-      release::ReleaseConfig config;
-      config.spec = spec;
+      release::WorkloadReleaseConfig config;
+      config.workload = {{spec}};
       config.mechanism = eval::MechanismKind::kSmoothLaplace;
       config.alpha = 0.1;
       config.epsilon = 2.0;
       config.delta = 0.05;
       config.round_counts = round_counts;
       auto released =
-          release::RunRelease(data, config, nullptr, independent_rng);
+          release::RunReleaseWorkload(data, config, nullptr, independent_rng);
       ASSERT_TRUE(released.ok()) << released.status().ToString();
-      independent.push_back(std::move(released).value());
+      ASSERT_EQ(released.value().size(), 1u);
+      independent.push_back(std::move(released).value()[0]);
     }
 
     release::WorkloadReleaseConfig config;
@@ -233,7 +236,7 @@ TEST(RunReleaseWorkloadTest, BitIdenticalToIndependentReleases) {
             << "marginal " << i << " threads " << threads;
       }
       // The caller's stream advanced exactly like two sequential
-      // RunRelease calls (one root draw per marginal).
+      // one-marginal releases (one root draw per marginal).
       Rng expected_rng(4242);
       expected_rng.NextUint64();
       expected_rng.NextUint64();
@@ -259,16 +262,17 @@ TEST(RunReleaseWorkloadTest, CoverGroupSplitKeepsBitIdentityAndCharging) {
   Rng independent_rng(777);
   std::vector<release::ReleasedTable> independent;
   for (const MarginalSpec& spec : wide.marginals) {
-    release::ReleaseConfig config;
-    config.spec = spec;
+    release::WorkloadReleaseConfig config;
+    config.workload = {{spec}};
     config.mechanism = eval::MechanismKind::kSmoothLaplace;
     config.alpha = 0.1;
     config.epsilon = 2.0;
     config.delta = 0.001;
     auto released =
-        release::RunRelease(data, config, nullptr, independent_rng);
+        release::RunReleaseWorkload(data, config, nullptr, independent_rng);
     ASSERT_TRUE(released.ok()) << released.status().ToString();
-    independent.push_back(std::move(released).value());
+    ASSERT_EQ(released.value().size(), 1u);
+    independent.push_back(std::move(released).value()[0]);
   }
 
   release::WorkloadReleaseConfig config;

@@ -6,7 +6,11 @@ target exists (anchors are stripped; external http(s)/mailto links are
 not fetched), and that every bench binary named in docs/BENCHMARKS.md
 corresponds to a bench/bench_*.cc source (the set bench/CMakeLists.txt
 registers via its glob) — so a bench rename cannot silently rot the
-benchmark book's repro commands. Exits nonzero listing each problem.
+benchmark book's repro commands. It also checks that every backticked
+`ns::Name` in README.md and docs/*.md, for `ns` a module directory under
+src/, names an identifier that src/<ns>/*.h declares — so a deleted or
+renamed symbol cannot linger in the docs. Exits nonzero listing each
+problem.
 
 Usage: tools/check_docs.py [repo_root]
 """
@@ -254,6 +258,69 @@ def check_service_contract(root):
     return len(refs), broken
 
 
+# Inline code spans and the module-qualified names inside them
+# (`release::RunReleaseWorkload`, `store::Store::Open`: the first name
+# after the module is the one checked).
+CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
+# The name is matched in a lookahead so `eep::release::X` yields both
+# (eep, release) and (release, X).
+QUALIFIED_RE = re.compile(r"\b([a-z_]+)::(?=([A-Za-z_]\w*))")
+# Comments and string literals, removed before collecting a header's
+# identifiers so a name that survives only in prose does not count.
+CPP_NOISE_RE = re.compile(r'//[^\n]*|/\*.*?\*/|"(?:\\.|[^"\\\n])*"', re.S)
+
+
+def check_symbols(root):
+    """Every backticked `ns::Name` in README.md and docs/*.md, where ns is
+    a module directory under src/, must name an identifier that appears in
+    the code (comments and strings stripped) of some src/<ns>/*.h. Fenced
+    code blocks are skipped. Returns (checked, broken)."""
+    src = os.path.join(root, "src")
+    if not os.path.isdir(src):
+        return 0, []
+    declared = {}
+    for module in sorted(os.listdir(src)):
+        module_dir = os.path.join(src, module)
+        if not os.path.isdir(module_dir):
+            continue
+        names = set()
+        for entry in os.listdir(module_dir):
+            if entry.endswith(".h"):
+                with open(os.path.join(module_dir, entry),
+                          encoding="utf-8") as handle:
+                    code = CPP_NOISE_RE.sub(" ", handle.read())
+                names |= set(re.findall(r"[A-Za-z_]\w*", code))
+        declared[module] = names
+    docs = [os.path.join(root, "README.md")]
+    docs_dir = os.path.join(root, "docs")
+    if os.path.isdir(docs_dir):
+        docs += [os.path.join(docs_dir, entry)
+                 for entry in sorted(os.listdir(docs_dir))
+                 if entry.endswith(".md")]
+    broken = []
+    refs = set()
+    for path in docs:
+        if not os.path.exists(path):
+            continue
+        in_fence = False
+        with open(path, encoding="utf-8") as handle:
+            for number, line in enumerate(handle, start=1):
+                if FENCE_RE.match(line.strip()):
+                    in_fence = not in_fence
+                    continue
+                if in_fence:
+                    continue
+                for span in CODE_SPAN_RE.findall(line):
+                    for module, name in QUALIFIED_RE.findall(span):
+                        if module not in declared:
+                            continue
+                        refs.add((module, name))
+                        if name not in declared[module]:
+                            broken.append((os.path.relpath(path, root),
+                                           number, f"{module}::{name}"))
+    return len(refs), broken
+
+
 def main():
     root = os.path.abspath(sys.argv[1] if len(sys.argv) > 1 else ".")
     broken = []
@@ -291,19 +358,25 @@ def main():
     service_checked, service_broken = check_service_contract(root)
     for path, number, what in service_broken:
         print(f"OVERLOAD CONTRACT {path}:{number}: {what}")
+    symbol_checked, symbol_broken = check_symbols(root)
+    for path, number, symbol in symbol_broken:
+        print(f"UNKNOWN SYMBOL {path}:{number}: {symbol} (no "
+              f"src/{symbol.split('::')[0]}/*.h declares it)")
     print(f"checked {checked} relative links in "
           f"{len(list(markdown_files(root)))} markdown files, "
           f"{bench_checked} bench names in docs/BENCHMARKS.md, "
           f"{lint_checked} eep-lint rule ids, {fp_checked} failpoint "
           f"sites, {serve_checked} serve tests and {service_checked} "
-          f"request-front tests in docs/ARCHITECTURE.md; "
+          f"request-front tests in docs/ARCHITECTURE.md, {symbol_checked} "
+          f"module-qualified symbols in README.md and docs/; "
           f"{len(broken)} broken links, {len(bench_broken)} unknown benches, "
           f"{len(lint_broken)} unknown lint rules, "
           f"{len(fp_broken)} unknown failpoints, "
           f"{len(serve_broken)} serving-contract mismatches, "
-          f"{len(service_broken)} overload-contract mismatches")
+          f"{len(service_broken)} overload-contract mismatches, "
+          f"{len(symbol_broken)} unknown symbols")
     return 1 if (broken or bench_broken or lint_broken or fp_broken
-                 or serve_broken or service_broken) else 0
+                 or serve_broken or service_broken or symbol_broken) else 0
 
 
 if __name__ == "__main__":

@@ -20,8 +20,8 @@ Rules (ids are stable; docs reference them as eep-lint:<id>):
   rng-source                no std::rand / std::random_device / std::mt19937
                             / time-seeded generators outside common/random.*.
                             All randomness flows through the seeded Rng.
-  worker-shared-rng         inside worker lambdas (RunOnWorkers / RunWorkers
-                            / std::thread pools), a shared Rng may only be
+  worker-shared-rng         inside worker lambdas (RunWorkers / std::thread
+                            pools), a shared Rng may only be
                             used via the const .Substream(k) derivation —
                             never mutated (.NextUint64(), .Uniform(), even
                             .Fork(), which advances the parent stream).

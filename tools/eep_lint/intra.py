@@ -10,7 +10,7 @@ from registry import Finding
 # Worker regions: lambda bodies handed to the parallel primitives.
 # ---------------------------------------------------------------------------
 WORKER_CALL_RE = re.compile(
-    r"\b(?:RunOnWorkers|RunWorkers)\s*\(|"
+    r"\bRunWorkers\s*\(|"
     r"\bstd::thread\s*\(|"
     r"\b\w+\.(?:emplace_back|push_back)\s*\(\s*(?=\[)")
 
