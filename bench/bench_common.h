@@ -12,7 +12,8 @@
 //   --threads=N   trial worker threads    (default 1; results identical)
 //   --json=PATH   additionally write the bench's measurements as a JSON
 //                 document (BenchJson below) so CI can track the perf
-//                 trajectory machine-readably instead of prose-only
+//                 trajectory machine-readably instead of prose-only; every
+//                 document carries the run's peak RSS (`peak_rss_mb`)
 // --paper (or scaling --jobs to 10900000 by hand) reproduces the paper's
 // extract 1:1 (slower; add --threads to compensate).
 #ifndef EEP_BENCH_BENCH_COMMON_H_
@@ -194,7 +195,23 @@ inline void FillJsonHeader(BenchJson& json, const std::string& bench_name,
                            const lodes::LodesDataset& data,
                            const BenchSetup& setup);
 
-/// Writes the document to --json=PATH when the flag is present.
+/// Peak resident set size of this process so far, in MiB: VmHWM from
+/// /proc/self/status, 0 where that file does not exist.
+inline double PeakRssMiB() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::strtod(line.c_str() + 6, nullptr) / 1024.0;
+    }
+  }
+  return 0.0;
+}
+
+/// Writes the document to --json=PATH when the flag is present, with the
+/// process's peak RSS as `peak_rss_mb`. The peak is read here, after the
+/// bench's work, so it covers the whole run; FillJsonHeader runs before
+/// the work in most benches.
 inline void MaybeWriteJson(const Flags& flags, const BenchJson& json) {
   const std::string path = flags.GetString("json", "");
   if (path.empty()) return;
@@ -203,7 +220,9 @@ inline void MaybeWriteJson(const Flags& flags, const BenchJson& json) {
     std::cerr << "cannot open --json path " << path << "\n";
     return;
   }
-  json.Dump(out);
+  BenchJson stamped = json;
+  stamped["peak_rss_mb"] = BenchJson::Num(PeakRssMiB());
+  stamped.Dump(out);
   out << "\n";
   std::printf("wrote bench JSON to %s\n", path.c_str());
 }

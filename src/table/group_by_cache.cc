@@ -75,9 +75,10 @@ Result<std::shared_ptr<const GroupedCounts>> GroupByCache::GetOrCompute(
   // Rank every covering cached grouping against a fresh scan by the shared
   // cost model: prefix-merge roll-ups touch each cached item once, re-sort
   // roll-ups several times, a scan touches each row (twice, but the sort
-  // input run-compresses). Ties go to the roll-up — it never re-reads the
-  // table. Every plan is an exact aggregation of the same row multiset, so
-  // the choice is invisible in the result.
+  // input folds to one item per establishment and key). Ties go to the
+  // roll-up — it never re-reads the table. Every plan is an exact
+  // aggregation of the same row multiset, so the choice is invisible in
+  // the result.
   const Entry* source = nullptr;
   const std::vector<std::string>* source_key = nullptr;
   double best_cost = RollupCostModel::Scan(table.num_rows());

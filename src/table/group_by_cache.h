@@ -6,7 +6,8 @@
 // against a fresh table scan by the shared cost model
 // (table::RollupCostModel) — prefix-merge roll-ups are cheap linear
 // passes, re-sort roll-ups pay several passes per item, and a scan pays
-// per row but run-compresses. The cheapest plan wins, so a pathologically
+// per row but folds each establishment's rows to one item per distinct
+// key before it sorts. The cheapest plan wins, so a pathologically
 // wide cached grouping (~one item per row) no longer shadows a cheaper
 // re-scan the way a fewest-items rule did. Because the engine and both
 // roll-up paths are exact integer aggregations of the same row multiset,

@@ -52,15 +52,19 @@ PartitionPlan PlanFor(size_t n, uint64_t domain, int num_threads) {
   return plan;
 }
 
-/// One worker block's run-compressed rows: consecutive rows with the same
-/// (key, estab) collapse into one weighted item. Real LODES extracts are
-/// clustered by employer — every row of an establishment shares its
-/// workplace attributes — so this typically shrinks the sort input by an
-/// order of magnitude; in the worst case (fully shuffled rows) it degrades
-/// to one item per row for the cost of one predictable compare per row.
-/// Splitting a run at a block boundary only splits its weight, and the
-/// per-partition aggregation sums weights per pair, so the final result is
-/// independent of the block layout (= thread count).
+/// One worker block's folded rows. Equal keys fold across each
+/// maximal run of equal establishment ids in the block (RunFolder below),
+/// so every (key, estab) pair of a run becomes one weighted item. Real
+/// LODES extracts are clustered by employer — the generator and
+/// Table::HashJoin's left-order output keep each establishment's rows
+/// together — so this shrinks the sort input to about the distinct-pair
+/// count: on the 1,000,094-row extract's workplace_sexedu grouping, 157,635
+/// items, where merging only consecutive equal (key, estab) rows left
+/// 827,693. On fully shuffled rows every run has length 1 and each row is
+/// one item, for the cost of one predictable compare per row. Splitting a
+/// run at a block boundary only splits its weight, and the per-partition
+/// aggregation sums weights per pair, so the final result is independent
+/// of the block layout (= thread count).
 struct CompressedBlock {
   std::vector<uint64_t> keys;
   std::vector<int64_t> estabs;
@@ -68,14 +72,99 @@ struct CompressedBlock {
   std::vector<size_t> hist;  // items per partition
   int64_t min_estab = std::numeric_limits<int64_t>::max();
   int64_t max_estab = std::numeric_limits<int64_t>::min();
+  /// Whether the block's estab ids are nondecreasing, including across the
+  /// boundary with the previous block's last row.
+  bool estabs_ascending = true;
+
+  void Emit(uint64_t key, int64_t estab, int64_t weight, int shift) {
+    keys.push_back(key);
+    estabs.push_back(estab);
+    weights.push_back(weight);
+    ++hist[key >> shift];
+  }
 };
 
-// LSD radix sort of vals[0..n) restricted to the low `used_bytes` bytes
-// (the caller knows how many carry bits), additionally skipping bytes on
-// which all values agree — e.g. high key bytes shared by a whole
-// partition. weights[i] travels with vals[i].
+/// Per-worker open-addressing table that folds equal keys across one
+/// establishment run. A slot holds a key and its summed weight. The table
+/// is sized per run to a power of two >= 2 * min(run length, domain) — the
+/// run's distinct keys are at most that — and reused across runs, clearing
+/// only the slots the run used. A run whose rows all share one key — a run
+/// of length 1, or any run of a workplace-only grouping — emits its item
+/// without touching the table.
+class RunFolder {
+ public:
+  /// Folds the establishment run that starts at row `begin` — the rows
+  /// before `end` that continue estab_ids[begin] — into one item per
+  /// distinct key of `block`, and returns the row after the run.
+  template <typename WeightFn>
+  size_t Fold(const uint64_t* keys, const int64_t* estab_ids,
+              WeightFn weight_of, size_t begin, size_t end, uint64_t domain,
+              int shift, CompressedBlock* block) {
+    const int64_t estab = estab_ids[begin];
+    const uint64_t first_key = keys[begin];
+    int64_t first_weight = weight_of(begin);
+    size_t i = begin + 1;
+    while (i < end && estab_ids[i] == estab && keys[i] == first_key) {
+      first_weight += weight_of(i++);
+    }
+    if (i == end || estab_ids[i] != estab) {
+      block->Emit(first_key, estab, first_weight, shift);
+      return i;
+    }
+    // A second key: the rest of the run folds through the table.
+    size_t run_end = i + 1;
+    while (run_end < end && estab_ids[run_end] == estab) ++run_end;
+    const uint64_t distinct = std::min<uint64_t>(run_end - begin, domain);
+    bits_ = BitWidth(2 * distinct - 1);
+    if (slot_keys_.size() < size_t{1} << bits_) {
+      slot_keys_.assign(size_t{1} << bits_, kEmpty);
+      slot_weights_.resize(size_t{1} << bits_);
+    }
+    Add(first_key, first_weight);
+    for (; i < run_end; ++i) Add(keys[i], weight_of(i));
+    for (size_t s : used_) {
+      block->Emit(slot_keys_[s], estab, slot_weights_[s], shift);
+      slot_keys_[s] = kEmpty;
+    }
+    used_.clear();
+    return run_end;
+  }
+
+ private:
+  // Keys are < domain <= 2^64 - 1, so the all-ones value is never a key.
+  static constexpr uint64_t kEmpty = std::numeric_limits<uint64_t>::max();
+
+  void Add(uint64_t key, int64_t weight) {
+    const size_t mask = (size_t{1} << bits_) - 1;
+    size_t s =
+        static_cast<size_t>((key * 0x9E3779B97F4A7C15ULL) >> (64 - bits_));
+    while (slot_keys_[s] != key) {
+      if (slot_keys_[s] == kEmpty) {
+        slot_keys_[s] = key;
+        slot_weights_[s] = 0;
+        used_.push_back(s);
+        break;
+      }
+      s = (s + 1) & mask;
+    }
+    slot_weights_[s] += weight;
+  }
+
+  std::vector<uint64_t> slot_keys_;
+  std::vector<int64_t> slot_weights_;
+  std::vector<size_t> used_;  // slots the current run filled, in order
+  int bits_ = 1;
+};
+
+// LSD radix sort of vals[0..n) on the `used_bytes` bytes starting at bit
+// `low_bit` (the caller knows which bits carry the order), additionally
+// skipping bytes on which all values agree — e.g. high key bytes shared by
+// a whole partition. The sort is stable, so bits below `low_bit` keep
+// their input order within equal digits; inputs under 128 items are
+// instead sorted on the whole value. weights[i] travels with vals[i].
 void RadixSortWithWeights(uint64_t* vals, int64_t* weights, size_t n,
-                          int used_bytes, std::vector<uint64_t>& val_scratch,
+                          int low_bit, int used_bytes,
+                          std::vector<uint64_t>& val_scratch,
                           std::vector<int64_t>& weight_scratch) {
   if (n < 128) {
     std::vector<std::pair<uint64_t, int64_t>> tmp(n);
@@ -94,7 +183,9 @@ void RadixSortWithWeights(uint64_t* vals, int64_t* weights, size_t n,
   size_t hist[8][256] = {};
   for (size_t i = 0; i < n; ++i) {
     const uint64_t x = vals[i];
-    for (int b = 0; b < used_bytes; ++b) ++hist[b][(x >> (8 * b)) & 0xff];
+    for (int b = 0; b < used_bytes; ++b) {
+      ++hist[b][(x >> (low_bit + 8 * b)) & 0xff];
+    }
   }
   if (val_scratch.size() < n) val_scratch.resize(n);
   if (weight_scratch.size() < n) weight_scratch.resize(n);
@@ -105,7 +196,8 @@ void RadixSortWithWeights(uint64_t* vals, int64_t* weights, size_t n,
   for (int b = 0; b < used_bytes; ++b) {
     // vsrc holds a permutation of the original values, so testing vsrc[0]'s
     // bucket against n detects a constant byte.
-    if (hist[b][(vsrc[0] >> (8 * b)) & 0xff] == n) continue;
+    const int digit_shift = low_bit + 8 * b;
+    if (hist[b][(vsrc[0] >> digit_shift) & 0xff] == n) continue;
     size_t offsets[256];
     size_t run = 0;
     for (int d = 0; d < 256; ++d) {
@@ -113,7 +205,7 @@ void RadixSortWithWeights(uint64_t* vals, int64_t* weights, size_t n,
       run += hist[b][d];
     }
     for (size_t i = 0; i < n; ++i) {
-      const size_t slot = offsets[(vsrc[i] >> (8 * b)) & 0xff]++;
+      const size_t slot = offsets[(vsrc[i] >> digit_shift) & 0xff]++;
       vdst[slot] = vsrc[i];
       wdst[slot] = wsrc[i];
     }
@@ -136,13 +228,16 @@ void RlePacked(const uint64_t* vals, const int64_t* weights, size_t n,
   size_t i = 0;
   while (i < n) {
     const uint64_t key = vals[i] >> estab_bits;
+    size_t key_end = i + 1;
+    while (key_end < n && (vals[key_end] >> estab_bits) == key) ++key_end;
     GroupedCell cell;
     cell.key = key;
-    while (i < n && (vals[i] >> estab_bits) == key) {
+    cell.contributions.reserve(key_end - i);
+    while (i < key_end) {
       const uint64_t packed = vals[i];
       int64_t weight = weights[i];
       size_t j = i + 1;
-      while (j < n && vals[j] == packed) weight += weights[j++];
+      while (j < key_end && vals[j] == packed) weight += weights[j++];
       cell.contributions.push_back(
           {static_cast<int64_t>(packed & mask), weight});
       cell.count += weight;
@@ -247,10 +342,10 @@ std::vector<uint64_t> MaterializeGroupKeys(const Table& table,
 
 namespace {
 
-/// Weight of one input item in the run-compression phase: the unweighted
-/// entry points count each row once, the weighted ones read the caller's
-/// weight array. Summing weights over a run generalizes the original
-/// run-length (j - i) without changing it for unit weights.
+/// Weight of one input item in the folding phase: the unweighted entry
+/// points count each row once, the weighted ones read the caller's weight
+/// array. Summing weights over a run generalizes the original run-length
+/// (j - i) without changing it for unit weights.
 struct UnitWeight {
   int64_t operator()(size_t) const { return 1; }
 };
@@ -270,26 +365,23 @@ std::vector<GroupedCell> AggregateByKeyAndEstabImpl(
   const PartitionPlan plan = PlanFor(n, domain_size, num_threads);
   const size_t P = plan.num_partitions;
 
-  // Phase 1: per-block run compression + partition histogram + estab range.
+  // Phase 1: per-block establishment-run folding + partition histogram +
+  // estab range and order.
   std::vector<CompressedBlock> blocks(static_cast<size_t>(plan.threads));
   RunWorkers(plan.threads, [&](int w) {
     const size_t begin = static_cast<size_t>(w) * plan.block_size;
     const size_t end = std::min(n, begin + plan.block_size);
     CompressedBlock& block = blocks[static_cast<size_t>(w)];
     block.hist.assign(P, 0);
+    block.estabs_ascending =
+        begin == 0 || begin >= end || estab_ids[begin - 1] <= estab_ids[begin];
+    RunFolder folder;
     size_t i = begin;
     while (i < end) {
-      const uint64_t key = keys[i];
       const int64_t estab = estab_ids[i];
-      int64_t weight = weight_of(i);
-      size_t j = i + 1;
-      while (j < end && keys[j] == key && estab_ids[j] == estab) {
-        weight += weight_of(j++);
-      }
-      block.keys.push_back(key);
-      block.estabs.push_back(estab);
-      block.weights.push_back(weight);
-      ++block.hist[key >> plan.shift];
+      const size_t j = folder.Fold(keys.data(), estab_ids.data(), weight_of,
+                                   i, end, domain_size, plan.shift, &block);
+      if (j < end && estab_ids[j] < estab) block.estabs_ascending = false;
       block.min_estab = std::min(block.min_estab, estab);
       block.max_estab = std::max(block.max_estab, estab);
       i = j;
@@ -298,9 +390,11 @@ std::vector<GroupedCell> AggregateByKeyAndEstabImpl(
   keys = {};
   int64_t min_estab = std::numeric_limits<int64_t>::max();
   int64_t max_estab = std::numeric_limits<int64_t>::min();
+  bool estabs_ascending = true;
   for (const auto& block : blocks) {
     min_estab = std::min(min_estab, block.min_estab);
     max_estab = std::max(max_estab, block.max_estab);
+    estabs_ascending = estabs_ascending && block.estabs_ascending;
   }
   const std::vector<size_t> starts = CursorsFromHists(&blocks, P);
   const size_t items = starts[P];
@@ -312,7 +406,12 @@ std::vector<GroupedCell> AggregateByKeyAndEstabImpl(
   const int estab_bits =
       BitWidth(static_cast<uint64_t>(std::max<int64_t>(max_estab, 0)));
   const bool packable = min_estab >= 0 && key_bits + estab_bits <= 64;
-  const int packed_bytes = (key_bits + estab_bits + 7) / 8;
+  // With nondecreasing estab ids the scatter below leaves every partition
+  // estab-ordered (blocks are contiguous row ranges in row order, and the
+  // cursors keep block order inside a partition), so the stable radix sort
+  // only needs the key digits; otherwise it sorts the whole packed value.
+  const int sort_low_bit = estabs_ascending ? estab_bits : 0;
+  const int sort_bytes = (key_bits + estab_bits - sort_low_bit + 7) / 8;
 
   std::vector<std::vector<GroupedCell>> per_partition(P);
   std::atomic<size_t> next{0};
@@ -342,8 +441,8 @@ std::vector<GroupedCell> AggregateByKeyAndEstabImpl(
       for (size_t p = next.fetch_add(1); p < P; p = next.fetch_add(1)) {
         const size_t m = starts[p + 1] - starts[p];
         RadixSortWithWeights(vals.data() + starts[p],
-                             weights.data() + starts[p], m, packed_bytes,
-                             val_scratch, weight_scratch);
+                             weights.data() + starts[p], m, sort_low_bit,
+                             sort_bytes, val_scratch, weight_scratch);
         RlePacked(vals.data() + starts[p], weights.data() + starts[p], m,
                   estab_bits, &per_partition[p]);
       }
@@ -432,7 +531,8 @@ std::vector<std::pair<uint64_t, int64_t>> AggregateByKeyImpl(
       uint64_t* v = vals.data() + starts[p];
       int64_t* wt = weights.data() + starts[p];
       const size_t m = starts[p + 1] - starts[p];
-      RadixSortWithWeights(v, wt, m, key_bytes, val_scratch, weight_scratch);
+      RadixSortWithWeights(v, wt, m, 0, key_bytes, val_scratch,
+                           weight_scratch);
       auto& out = per_partition[p];
       size_t i = 0;
       while (i < m) {

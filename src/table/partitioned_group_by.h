@@ -5,11 +5,15 @@
 //
 //   1. MaterializeGroupKeys packs every row's group key with one contiguous
 //      loop per group column (auto-vectorizable; no per-row gather).
-//   2. Aggregate* range-partitions the rows by key (partition p holds keys
-//      in [p, p+1) * domain/P), sorts each partition — as packed
+//   2. Aggregate* folds each worker block's rows into weighted items —
+//      AggregateByKeyAndEstab one item per distinct key of every maximal
+//      run of equal establishment ids, AggregateByKey one per run of
+//      equal keys — range-partitions the items by key (partition p holds
+//      keys in [p, p+1) * domain/P), sorts each partition — as packed
 //      (key, estab) uint64s through an LSD radix sort when they fit in one
-//      word, as (key, estab) pairs through std::sort otherwise — and
-//      run-length aggregates the sorted runs.
+//      word, on the key digits alone when the estab ids ascend over the
+//      whole input, as (key, estab) pairs through std::sort otherwise —
+//      and run-length aggregates the sorted runs.
 //   3. Partitions concatenate in order, so the result is globally
 //      key-sorted without a merge.
 //
@@ -58,11 +62,12 @@ std::vector<std::pair<uint64_t, int64_t>> AggregateByKey(
 /// Weighted form of AggregateByKeyAndEstab: item i carries weights[i]
 /// instead of an implicit weight of 1, so already-aggregated inputs (e.g.
 /// the contribution items of a finer grouping being rolled up to a coarser
-/// key domain — see rollup.h) re-aggregate through the same run-compression
-/// and partitioned-sort machinery. Weights sum per (key, estab) pair; the
-/// result is exactly what AggregateByKeyAndEstab would return on the
-/// expansion of each item into weights[i] unit rows, and is deterministic
-/// for every thread count. Requires weights.size() == keys.size().
+/// key domain — see rollup.h) re-aggregate through the same
+/// establishment-run folding and partitioned-sort machinery. Weights sum
+/// per (key, estab) pair; the result is exactly what
+/// AggregateByKeyAndEstab would return on the expansion of each item into
+/// weights[i] unit rows, and is deterministic for every thread count.
+/// Requires weights.size() == keys.size().
 std::vector<GroupedCell> AggregateWeightedByKeyAndEstab(
     std::vector<uint64_t> keys, const std::vector<int64_t>& estab_ids,
     const std::vector<int64_t>& weights, uint64_t domain_size,

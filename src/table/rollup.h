@@ -118,10 +118,12 @@ Result<std::vector<std::pair<uint64_t, int64_t>>> RollupKeyCounts(
 /// cover-group planner (lodes/workload.cc) with *estimated* item counts.
 /// The constants are calibrated on the paper-scale extract (see
 /// docs/BENCHMARKS.md): a scan touches every row twice (key materialization
-/// + run-compressed aggregation, where employer clustering shrinks the sort
-/// input by an order of magnitude), a prefix merge touches every base item
-/// once, and a re-sort roll-up pays flatten + scatter + radix passes over
-/// items that no longer run-compress.
+/// + aggregation, which folds each establishment's rows to one item per
+/// distinct key — 157,635 sort items from the 1,000,094-row extract's
+/// workplace_sexedu scan), a prefix merge touches every base item once,
+/// and a re-sort roll-up pays flatten + scatter + radix passes over items
+/// that arrive in key order rather than grouped by establishment, so they
+/// seldom fold.
 struct RollupCostModel {
   static constexpr double kScanPerRow = 2.0;
   static constexpr double kPrefixMergePerItem = 1.0;

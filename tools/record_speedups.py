@@ -35,6 +35,8 @@ def main(paths):
             failed = True
             continue
         bench = doc.get("bench", path)
+        if "marginal" in doc:
+            bench += f" [{doc['marginal']}]"
         jobs = doc.get("dataset", {}).get("jobs", "?")
         by_threads = {}
         for entry in sweep_of(doc):
@@ -60,6 +62,8 @@ def main(paths):
             parts.append(
                 f"{max(by_threads)} threads {top['best_ms']:.1f} ms "
                 f"({one['best_ms'] / top['best_ms']:.2f}x)")
+        if "peak_rss_mb" in doc:
+            parts.append(f"peak RSS {doc['peak_rss_mb']:.0f} MiB")
         print("  ".join(parts))
         if doc.get("bit_identical") is False:
             print(f"{bench}: bench reported bit_identical=false")
