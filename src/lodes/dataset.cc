@@ -2,7 +2,30 @@
 
 #include <unordered_set>
 
+#include "table/partitioned_group_by.h"
+
 namespace eep::lodes {
+
+namespace {
+
+/// The first Workplace row of every distinct (place, naics, ownership).
+Result<table::Table> BuildWorkplaceFrame(const table::Table& workplaces) {
+  EEP_ASSIGN_OR_RETURN(
+      table::GroupKeyCodec codec,
+      table::GroupKeyCodec::Create(workplaces.schema(),
+                                   {kColPlace, kColNaics, kColOwnership}));
+  const std::vector<uint64_t> keys =
+      table::MaterializeGroupKeys(workplaces, codec, /*num_threads=*/1);
+  std::vector<bool> seen(codec.DomainSize());
+  std::vector<bool> first(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    first[i] = !seen[keys[i]];
+    seen[keys[i]] = true;
+  }
+  return workplaces.Filter(first);
+}
+
+}  // namespace
 
 Result<LodesDataset> LodesDataset::Create(AttributeDomains domains,
                                           table::Table workers,
@@ -36,9 +59,11 @@ Result<LodesDataset> LodesDataset::Create(AttributeDomains domains,
     return Status::InvalidArgument("job references missing workplace");
   }
 
+  EEP_ASSIGN_OR_RETURN(table::Table workplace_frame,
+                       BuildWorkplaceFrame(workplaces));
   return LodesDataset(std::move(domains), std::move(workers),
                       std::move(workplaces), std::move(jobs),
-                      std::move(worker_full));
+                      std::move(worker_full), std::move(workplace_frame));
 }
 
 Result<int64_t> LodesDataset::PlacePopulation(uint32_t place_code) const {

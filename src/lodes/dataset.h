@@ -33,6 +33,13 @@ class LodesDataset {
   const table::Table& workers() const { return workers_; }
   const table::Table& workplaces() const { return workplaces_; }
   const table::Table& jobs() const { return jobs_; }
+  /// The public establishment frame: one Workplace row per distinct
+  /// (place, naics, ownership), the first establishment seen with it.
+  /// Built from workplaces() alone — establishment existence, sector,
+  /// ownership and location are public (Section 4.1) — so every marginal's
+  /// released workplace domain, derived from it, is a function of public
+  /// data only.
+  const table::Table& workplace_frame() const { return workplace_frame_; }
   /// The joined universal relation (one row per job, all attributes).
   const table::Table& worker_full() const { return worker_full_; }
 
@@ -53,18 +60,20 @@ class LodesDataset {
  private:
   LodesDataset(AttributeDomains domains, table::Table workers,
                table::Table workplaces, table::Table jobs,
-               table::Table worker_full)
+               table::Table worker_full, table::Table workplace_frame)
       : domains_(std::move(domains)),
         workers_(std::move(workers)),
         workplaces_(std::move(workplaces)),
         jobs_(std::move(jobs)),
-        worker_full_(std::move(worker_full)) {}
+        worker_full_(std::move(worker_full)),
+        workplace_frame_(std::move(workplace_frame)) {}
 
   AttributeDomains domains_;
   table::Table workers_;
   table::Table workplaces_;
   table::Table jobs_;
   table::Table worker_full_;
+  table::Table workplace_frame_;
 };
 
 }  // namespace eep::lodes

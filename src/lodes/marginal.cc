@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "table/partitioned_group_by.h"
+
 namespace eep::lodes {
 
 std::vector<std::string> MarginalSpec::AllColumns() const {
@@ -71,41 +73,19 @@ Result<MarginalQuery> MarginalQuery::Compute(const LodesDataset& data,
                                              const MarginalSpec& spec,
                                              int num_threads) {
   EEP_RETURN_NOT_OK(spec.Validate());
-
-  const table::GroupByOptions group_by_options{num_threads};
   EEP_ASSIGN_OR_RETURN(
       table::GroupedCounts grouped,
       table::GroupCountByEstablishment(data.worker_full(), spec.AllColumns(),
-                                       kColEstabId, group_by_options));
-
-  // Which workplace-attribute combinations exist (public knowledge): group
-  // the Workplace table itself, so combos with an employer but zero matching
-  // workers are still released.
-  std::vector<uint64_t> present_wkeys;
-  if (spec.workplace_attrs.empty()) {
-    present_wkeys.push_back(0);
-  } else {
-    EEP_ASSIGN_OR_RETURN(
-        table::GroupKeyCodec wcodec,
-        table::GroupKeyCodec::Create(data.workplaces().schema(),
-                                     spec.workplace_attrs));
-    EEP_ASSIGN_OR_RETURN(
-        auto wcounts,
-        table::GroupCount(data.workplaces(), wcodec, group_by_options));
-    present_wkeys.reserve(wcounts.size());
-    for (const auto& [key, n] : wcounts) present_wkeys.push_back(key);
-  }
-
-  return FromGrouped(data, spec,
-                     std::make_shared<const table::GroupedCounts>(
-                         std::move(grouped)),
-                     present_wkeys);
+                                       kColEstabId,
+                                       table::GroupByOptions{num_threads}));
+  return FromGrouped(
+      data, spec,
+      std::make_shared<const table::GroupedCounts>(std::move(grouped)));
 }
 
 Result<MarginalQuery> MarginalQuery::FromGrouped(
     const LodesDataset& data, const MarginalSpec& spec,
-    std::shared_ptr<const table::GroupedCounts> grouped,
-    const std::vector<uint64_t>& present_wkeys) {
+    std::shared_ptr<const table::GroupedCounts> grouped) {
   EEP_RETURN_NOT_OK(spec.Validate());
   if (grouped == nullptr) {
     return Status::InvalidArgument("FromGrouped needs a grouping");
@@ -113,6 +93,28 @@ Result<MarginalQuery> MarginalQuery::FromGrouped(
   if (grouped->codec.columns() != spec.AllColumns()) {
     return Status::InvalidArgument(
         "grouping columns do not match the marginal spec");
+  }
+
+  // Which workplace-attribute combinations exist (public knowledge): the
+  // establishment frame's distinct combinations on the spec's workplace
+  // attributes, so combos with an employer but zero matching workers are
+  // still released. Marked in a bitmap over the workplace domain and swept
+  // in key order.
+  std::vector<uint64_t> present_wkeys{0};
+  if (!spec.workplace_attrs.empty()) {
+    const table::Table& frame = data.workplace_frame();
+    EEP_ASSIGN_OR_RETURN(
+        table::GroupKeyCodec wcodec,
+        table::GroupKeyCodec::Create(frame.schema(), spec.workplace_attrs));
+    std::vector<bool> present(wcodec.DomainSize());
+    for (uint64_t wkey :
+         table::MaterializeGroupKeys(frame, wcodec, /*num_threads=*/1)) {
+      present[wkey] = true;
+    }
+    present_wkeys.clear();
+    for (uint64_t wkey = 0; wkey < present.size(); ++wkey) {
+      if (present[wkey]) present_wkeys.push_back(wkey);
+    }
   }
 
   MarginalQuery query(&data, spec, std::move(grouped));

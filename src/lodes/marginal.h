@@ -89,19 +89,17 @@ class MarginalQuery {
                                        const MarginalSpec& spec,
                                        int num_threads = 1);
 
-  /// Builds the marginal from an already-computed grouping — the fused
+  /// Builds the marginal from an already-computed grouping of
+  /// spec.AllColumns() (same order) over data.worker_full() — the fused
   /// workload path (lodes/workload.h), where `grouped` is derived from one
-  /// shared scan by cube roll-up instead of scanning per marginal.
-  /// `grouped->codec` must be over exactly spec.AllColumns() (same order)
-  /// and `present_wkeys` must be the sorted distinct packed workplace-attr
-  /// keys with at least one establishment (pass {0} when the spec has no
-  /// workplace attributes). Output is bit-identical to Compute whenever the
-  /// inputs match what Compute would derive itself — which the roll-up
+  /// shared scan by cube roll-up instead of scanning per marginal. The
+  /// released workplace combinations are those of
+  /// data.workplace_frame(), projected onto the spec's workplace
+  /// attributes. Output is bit-identical to Compute, which the roll-up
   /// guarantees (see table/rollup.h).
   static Result<MarginalQuery> FromGrouped(
       const LodesDataset& data, const MarginalSpec& spec,
-      std::shared_ptr<const table::GroupedCounts> grouped,
-      const std::vector<uint64_t>& present_wkeys);
+      std::shared_ptr<const table::GroupedCounts> grouped);
 
   const MarginalSpec& spec() const { return spec_; }
   const table::GroupKeyCodec& codec() const { return grouped_->codec; }

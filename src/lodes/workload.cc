@@ -172,21 +172,20 @@ double ModeledGroupCost(const LodesDataset& data,
   return cost;
 }
 
-/// One planned cover group: its members (workload indices, ascending), the
-/// union spec, and the base grouping's chosen column order — derived once
-/// here and executed verbatim by ComputeWorkload, so the plan the cost
-/// model priced is exactly the plan that runs.
+/// One planned cover group: its members (workload indices, ascending) and
+/// the base grouping's chosen column order — derived once here and
+/// executed verbatim by ComputeWorkload, so the plan the cost model priced
+/// is exactly the plan that runs.
 struct CoverGroup {
   std::vector<size_t> members;
-  MarginalSpec union_spec;
   std::vector<std::string> base_columns;
 };
 
 CoverGroup MakeGroup(const std::vector<MarginalSpec>& marginals,
                      std::vector<size_t> members) {
   CoverGroup group;
-  group.union_spec = UnionSpecOf(marginals, members);
-  group.base_columns = ChooseBaseOrder(marginals, members, group.union_spec);
+  group.base_columns = ChooseBaseOrder(marginals, members,
+                                       UnionSpecOf(marginals, members));
   group.members = std::move(members);
   return group;
 }
@@ -318,23 +317,7 @@ Result<std::vector<MarginalQuery>> ComputeWorkload(
   }
   collected.base_ms = MsSince(base_start);
 
-  // The released workplace-combination domain is public knowledge: group
-  // the (establishment-count-sized) Workplace table once per cover group
-  // at the group's workplace-attribute union; each marginal's combinations
-  // project from it through the same cache, so a warmed cache re-scans
-  // NEITHER table.
   const auto derive_start = std::chrono::steady_clock::now();
-  for (const CoverGroup& group : groups) {
-    if (!group.union_spec.workplace_attrs.empty()) {
-      EEP_RETURN_NOT_OK(
-          cache
-              ->GetOrComputeKeyCounts(data.workplaces(),
-                                      group.union_spec.workplace_attrs,
-                                      options)
-              .status());
-    }
-  }
-
   // Lattice order: walk the cover groups in plan order and, within each
   // group, materialize wide marginals first, so narrower ones can roll up
   // from an already-derived small grouping instead of the (much larger)
@@ -394,22 +377,9 @@ Result<std::vector<MarginalQuery>> ComputeWorkload(
         break;
     }
 
-    std::vector<uint64_t> present_wkeys;
-    if (spec.workplace_attrs.empty()) {
-      present_wkeys.push_back(0);
-    } else {
-      EEP_ASSIGN_OR_RETURN(
-          auto wcounts,
-          cache->GetOrComputeKeyCounts(data.workplaces(),
-                                       spec.workplace_attrs, options));
-      present_wkeys.reserve(wcounts->size());
-      for (const auto& [key, n] : *wcounts) present_wkeys.push_back(key);
-    }
-
     EEP_ASSIGN_OR_RETURN(
         MarginalQuery query,
-        MarginalQuery::FromGrouped(data, spec, std::move(grouped),
-                                   present_wkeys));
+        MarginalQuery::FromGrouped(data, spec, std::move(grouped)));
     derived[index].emplace(std::move(query));
   }
   std::vector<MarginalQuery> queries;

@@ -16,7 +16,10 @@
 //      already-materialized covering grouping — the fused base or an
 //      earlier, smaller marginal — and a caller-held cache carries the
 //      groupings across ComputeWorkload/RunReleaseWorkload calls, so
-//      overlapping workloads skip the scan entirely.
+//      overlapping workloads skip the scan entirely. Each marginal's
+//      released workplace combinations come from the dataset's public
+//      establishment frame (LodesDataset::workplace_frame()), not from
+//      the cache: no Workplace grouping is scanned, rolled up or cached.
 //
 // When the union cross-classification is too wide to pay for itself (all
 // eight attributes at paper scale give the base ~one item per row, so

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <utility>
 
 #include "eval/workloads.h"
@@ -16,24 +17,32 @@ std::string ExpectedFingerprint(
                                     config.delta);
 }
 
+namespace {
+
+/// The refresh poll schedule: base max(poll_interval_ms, 1), doubling per
+/// consecutive failure, capped at max_poll_interval_ms (16x the base when
+/// unset), no jitter.
+RetryPolicy PollBackoff(const ServerOptions& options) {
+  RetryPolicy policy;
+  policy.initial_backoff_ms =
+      options.poll_interval_ms > 0 ? options.poll_interval_ms : 1;
+  policy.max_backoff_ms = options.max_poll_interval_ms > 0
+                              ? options.max_poll_interval_ms
+                              : policy.initial_backoff_ms * 16;
+  policy.multiplier = 2.0;
+  policy.jitter = 0.0;
+  return policy;
+}
+
+}  // namespace
+
 Server::Server(std::unique_ptr<store::Store> store, ServerOptions options)
     : options_(std::move(options)),
       clock_(options_.clock != nullptr ? options_.clock : Clock::Real()),
+      poll_backoff_(PollBackoff(options_)),
       store_(std::move(store)) {
-  next_poll_delay_ms_ = BackoffDelayMs(0);
+  next_poll_delay_ms_ = poll_backoff_.BackoffMs(0);
   epoch_changed_ms_ = clock_->NowMs();
-}
-
-int64_t Server::BackoffDelayMs(uint64_t failures) const {
-  const int64_t base =
-      options_.poll_interval_ms > 0 ? options_.poll_interval_ms : 1;
-  const int64_t cap = options_.max_poll_interval_ms > 0
-                          ? std::max<int64_t>(options_.max_poll_interval_ms,
-                                              base)
-                          : base * 16;
-  int64_t delay = base;
-  for (uint64_t f = 0; f < failures && delay < cap; ++f) delay *= 2;
-  return std::min(delay, cap);
 }
 
 Result<std::unique_ptr<Server>> Server::Open(const std::string& dir,
@@ -140,7 +149,7 @@ Status Server::RefreshNow() {
     snapshot_ = std::move(next);  // The swap: one pointer assignment.
     ++stats_.swaps;
     consecutive_failures_ = 0;
-    next_poll_delay_ms_ = BackoffDelayMs(0);
+    next_poll_delay_ms_ = poll_backoff_.BackoffMs(0);
     epoch_changed_ms_ = clock_->NowMs();
   }
   cv_.notify_all();
@@ -154,7 +163,9 @@ void Server::RecordRefreshFailure() {
   // The schedule: base, 2b, 4b, ... capped — never a hot-poll through a
   // persistent fault. Counted only when the delay actually grew, so
   // tests can assert the exact number of schedule steps.
-  const int64_t delay = BackoffDelayMs(consecutive_failures_);
+  const int64_t delay = poll_backoff_.BackoffMs(static_cast<int>(
+      std::min<uint64_t>(consecutive_failures_,
+                         std::numeric_limits<int>::max())));
   if (delay > next_poll_delay_ms_) ++stats_.backoffs;
   next_poll_delay_ms_ = delay;
 }
@@ -162,7 +173,7 @@ void Server::RecordRefreshFailure() {
 void Server::RecordRefreshSuccess() {
   std::lock_guard<std::mutex> lock(mu_);
   consecutive_failures_ = 0;
-  next_poll_delay_ms_ = BackoffDelayMs(0);
+  next_poll_delay_ms_ = poll_backoff_.BackoffMs(0);
 }
 
 bool Server::WaitForEpoch(uint64_t epoch, int timeout_ms) const {

@@ -171,8 +171,6 @@ class Server {
   Server(std::unique_ptr<store::Store> store, ServerOptions options);
 
   void RefreshLoop();
-  /// min(cap, base * 2^failures); base with failures == 0.
-  int64_t BackoffDelayMs(uint64_t failures) const;
   /// Failure/success bookkeeping under mu_: counters, backoff schedule,
   /// degraded state input.
   void RecordRefreshFailure();
@@ -180,6 +178,10 @@ class Server {
 
   const ServerOptions options_;
   Clock* clock_;  ///< Never null.
+  /// The refresh poll schedule as an unjittered RetryPolicy: after f
+  /// consecutive failures the next poll waits BackoffMs(f) =
+  /// min(cap, base * 2^f) (see ServerOptions::max_poll_interval_ms).
+  const RetryPolicy poll_backoff_;
   /// Touched only under refresh_mu_ (the store's Refresh mutates it).
   std::unique_ptr<store::Store> store_;
   /// Serializes refreshers (the loop and RefreshNow callers) across the

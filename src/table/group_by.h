@@ -97,12 +97,6 @@ Result<GroupedCounts> GroupCountByEstablishment(
     const Table& table, const std::vector<std::string>& group_columns,
     const std::string& estab_id_column, const GroupByOptions& options = {});
 
-/// Plain per-cell row counts without establishment tracking: (key, count)
-/// pairs of the non-empty cells, sorted by key.
-Result<std::vector<std::pair<uint64_t, int64_t>>> GroupCount(
-    const Table& table, const GroupKeyCodec& codec,
-    const GroupByOptions& options = {});
-
 }  // namespace eep::table
 
 #endif  // EEP_TABLE_GROUP_BY_H_

@@ -15,6 +15,10 @@
 // one served them except through stats(). Entries are shared_ptrs, so a
 // workload holding a marginal alive keeps only that grouping pinned.
 //
+// Entries are establishment groupings only. A marginal's released
+// workplace domain is not cached: it comes from the dataset's small public
+// establishment frame (lodes::LodesDataset::workplace_frame()).
+//
 // The cache binds to the first (table, estab column) it serves and rejects
 // other tables: grouped counts are only reusable against the identical row
 // multiset. It is NOT invalidated by mutation of the underlying table —
@@ -27,7 +31,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -69,20 +72,9 @@ class GroupByCache {
       Outcome* outcome = nullptr,
       std::vector<std::string>* source_columns = nullptr);
 
-  /// Same serving policy for plain (key, count) groupings (GroupCount /
-  /// RollupKeyCounts), over their own table — typically the Workplace
-  /// table whose distinct attribute combinations define the released cell
-  /// domain, scanned once and projected per marginal. Outcomes count into
-  /// the same stats() as the establishment groupings.
-  Result<std::shared_ptr<const std::vector<std::pair<uint64_t, int64_t>>>>
-  GetOrComputeKeyCounts(const Table& table,
-                        const std::vector<std::string>& columns,
-                        const GroupByOptions& options = {},
-                        Outcome* outcome = nullptr);
-
   Stats stats() const;
 
-  /// Drops all entries and the table bindings.
+  /// Drops all entries and the table binding.
   void Clear();
 
  private:
@@ -90,17 +82,11 @@ class GroupByCache {
     std::shared_ptr<const GroupedCounts> grouped;
     size_t num_items = 0;  ///< Total contributions: roll-up input size.
   };
-  struct KeyCountEntry {
-    std::shared_ptr<const std::vector<std::pair<uint64_t, int64_t>>> counts;
-    GroupKeyCodec codec;  ///< Needed to roll the entry up further.
-  };
 
   mutable std::mutex mu_;
   const Table* table_ = nullptr;
   std::string estab_id_column_;
   std::map<std::vector<std::string>, Entry> entries_;
-  const Table* keycount_table_ = nullptr;
-  std::map<std::vector<std::string>, KeyCountEntry> keycount_entries_;
   Stats stats_;
 };
 

@@ -5,15 +5,15 @@
 //
 //   1. MaterializeGroupKeys packs every row's group key with one contiguous
 //      loop per group column (auto-vectorizable; no per-row gather).
-//   2. Aggregate* folds each worker block's rows into weighted items —
-//      AggregateByKeyAndEstab one item per distinct key of every maximal
-//      run of equal establishment ids, AggregateByKey one per run of
-//      equal keys — range-partitions the items by key (partition p holds
-//      keys in [p, p+1) * domain/P), sorts each partition — as packed
-//      (key, estab) uint64s through an LSD radix sort when they fit in one
-//      word, on the key digits alone when the estab ids ascend over the
-//      whole input, as (key, estab) pairs through std::sort otherwise —
-//      and run-length aggregates the sorted runs.
+//   2. AggregateByKeyAndEstab folds each worker block's rows into
+//      weighted items — one per distinct key of every maximal run of
+//      equal establishment ids — range-partitions them by key
+//      (partition p holds keys in [p, p+1) * domain/P), sorts each
+//      partition — as packed (key, estab) uint64s through an LSD radix
+//      sort when they fit in one word, on the key digits alone when the
+//      estab ids ascend over the whole input, as (key, estab) pairs
+//      through std::sort otherwise — and run-length aggregates the sorted
+//      runs.
 //   3. Partitions concatenate in order, so the result is globally
 //      key-sorted without a merge.
 //
@@ -28,7 +28,6 @@
 #define EEP_TABLE_PARTITIONED_GROUP_BY_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "table/group_by.h"
@@ -53,12 +52,6 @@ std::vector<GroupedCell> AggregateByKeyAndEstab(
     std::vector<uint64_t> keys, const std::vector<int64_t>& estab_ids,
     uint64_t domain_size, int num_threads);
 
-/// Aggregates keys alone into (key, count) runs sorted by key. Requires
-/// keys[i] < domain_size. Consumes `keys`. Deterministic for every thread
-/// count.
-std::vector<std::pair<uint64_t, int64_t>> AggregateByKey(
-    std::vector<uint64_t> keys, uint64_t domain_size, int num_threads);
-
 /// Weighted form of AggregateByKeyAndEstab: item i carries weights[i]
 /// instead of an implicit weight of 1, so already-aggregated inputs (e.g.
 /// the contribution items of a finer grouping being rolled up to a coarser
@@ -72,12 +65,6 @@ std::vector<GroupedCell> AggregateWeightedByKeyAndEstab(
     std::vector<uint64_t> keys, const std::vector<int64_t>& estab_ids,
     const std::vector<int64_t>& weights, uint64_t domain_size,
     int num_threads);
-
-/// Weighted form of AggregateByKey, same contract as above without the
-/// establishment breakdown.
-std::vector<std::pair<uint64_t, int64_t>> AggregateWeightedByKey(
-    std::vector<uint64_t> keys, const std::vector<int64_t>& weights,
-    uint64_t domain_size, int num_threads);
 
 }  // namespace eep::table
 

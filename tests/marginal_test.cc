@@ -2,14 +2,30 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
+#include "common/random.h"
 #include "lodes/generator.h"
+#include "lodes/workload.h"
+#include "release/pipeline.h"
+#include "table/group_by_cache.h"
 #include "table/table.h"
 
 namespace eep::lodes {
 namespace {
 
-// Tiny dataset: two places, three establishments, six workers.
-LodesDataset TinyData() {
+std::string JoinForTest(const std::vector<std::string>& columns) {
+  std::string out;
+  for (const auto& column : columns) out += (out.empty() ? "" : ",") + column;
+  return out;
+}
+
+// Tiny dataset: two places, three establishments, six workers. With
+// `idle_establishment`, a fourth establishment (id 300) with no jobs holds
+// (city, "48-49", Private), a combination no other establishment shares.
+LodesDataset TinyData(bool idle_establishment = false) {
   auto domains =
       AttributeDomains::Create({{"town", 80}, {"city", 200000}}).value();
   using table::Column;
@@ -24,12 +40,21 @@ LodesDataset TinyData() {
                       Column::OfCategory({1, 1, 3, 1, 1, 1})})  // edu
                      .value();
   // Estabs: 100 & 101 in (sector 0, private, town); 200 in (15, SL, city).
+  std::vector<int64_t> estab_ids = {100, 101, 200};
+  std::vector<uint32_t> naics = {0, 0, 15};
+  std::vector<uint32_t> ownership = {0, 0, 1};
+  std::vector<uint32_t> place = {0, 0, 1};
+  if (idle_establishment) {
+    estab_ids.push_back(300);
+    naics.push_back(7);
+    ownership.push_back(0);
+    place.push_back(1);
+  }
   auto workplaces = table::Table::Create(
                         domains.WorkplaceSchema().value(),
-                        {Column::OfInt64({100, 101, 200}),
-                         Column::OfCategory({0, 0, 15}),
-                         Column::OfCategory({0, 0, 1}),
-                         Column::OfCategory({0, 0, 1})})
+                        {Column::OfInt64(estab_ids), Column::OfCategory(naics),
+                         Column::OfCategory(ownership),
+                         Column::OfCategory(place)})
                         .value();
   // Jobs: estab 100 gets workers 1,2,3; estab 101 gets worker 4;
   // estab 200 gets workers 5,6.
@@ -286,6 +311,160 @@ TEST(MarginalQueryTest, PlaceCodeMatchesCodecUnpack) {
     for (const MarginalCell& cell : query.cells()) {
       EXPECT_EQ(cell.place_code,
                 query.codec().Unpack(cell.key)[place_slot]);
+    }
+  }
+}
+
+// The released workplace domain is every combination an establishment
+// holds — public knowledge — so establishment 300 of
+// TinyData(/*idle_establishment=*/true) puts (city, "48-49", Private) into
+// every workplace marginal's domain with all-zero cells, whichever path
+// computes or releases the marginal.
+const std::map<std::string, uint32_t>& IdleCodes() {
+  static const std::map<std::string, uint32_t> kCodes = {
+      {kColPlace, 1}, {kColNaics, 7}, {kColOwnership, 0}};
+  return kCodes;
+}
+
+const std::map<std::string, std::string>& IdleLabels() {
+  static const std::map<std::string, std::string> kLabels = {
+      {kColPlace, "city"}, {kColNaics, "48-49"}, {kColOwnership, "Private"}};
+  return kLabels;
+}
+
+WorkloadSpec IdleEstablishmentWorkload() {
+  return {{MarginalSpec{{kColOwnership, kColNaics}, {kColSex}},  // non-prefix
+           MarginalSpec::EstablishmentMarginal(),             // workplace only
+           MarginalSpec{{}, {kColSex, kColEducation}}}};      // worker only
+}
+
+bool InIdleCombination(const MarginalQuery& query, const MarginalCell& cell) {
+  const auto& attrs = query.spec().workplace_attrs;
+  if (attrs.empty()) return false;
+  const std::vector<uint32_t> codes = query.codec().Unpack(cell.key);
+  for (size_t i = 0; i < attrs.size(); ++i) {
+    if (codes[i] != IdleCodes().at(attrs[i])) return false;
+  }
+  return true;
+}
+
+// `with_idle` is `without_idle` plus exactly one zero block of
+// WorkerDomainSize() cells for the idle combination (none for a
+// worker-only spec).
+void ExpectIdleCombinationReleased(const MarginalQuery& with_idle,
+                                   const MarginalQuery& without_idle,
+                                   const std::string& context) {
+  std::vector<MarginalCell> rest;
+  int64_t idle_cells = 0;
+  for (const MarginalCell& cell : with_idle.cells()) {
+    if (!InIdleCombination(with_idle, cell)) {
+      rest.push_back(cell);
+      continue;
+    }
+    ++idle_cells;
+    EXPECT_EQ(cell.count, 0) << context;
+    EXPECT_EQ(cell.x_v, 0) << context;
+    EXPECT_EQ(cell.num_estabs, 0) << context;
+  }
+  EXPECT_EQ(idle_cells, with_idle.spec().workplace_attrs.empty()
+                            ? 0
+                            : with_idle.WorkerDomainSize())
+      << context;
+  ASSERT_EQ(rest.size(), without_idle.cells().size()) << context;
+  for (size_t i = 0; i < rest.size(); ++i) {
+    const MarginalCell& a = rest[i];
+    const MarginalCell& b = without_idle.cells()[i];
+    EXPECT_EQ(a.key, b.key) << context;
+    EXPECT_EQ(a.count, b.count) << context;
+    EXPECT_EQ(a.x_v, b.x_v) << context;
+    EXPECT_EQ(a.num_estabs, b.num_estabs) << context;
+    EXPECT_EQ(a.place_code, b.place_code) << context;
+  }
+}
+
+TEST(IdleEstablishmentTest, ComputeReleasesItsCombination) {
+  const LodesDataset data = TinyData(/*idle_establishment=*/true);
+  const LodesDataset baseline = TinyData();
+  for (const MarginalSpec& spec : IdleEstablishmentWorkload().marginals) {
+    ExpectIdleCombinationReleased(
+        MarginalQuery::Compute(data, spec).value(),
+        MarginalQuery::Compute(baseline, spec).value(),
+        "Compute " + JoinForTest(spec.AllColumns()));
+  }
+  // The combination is found by value, like any released one.
+  auto query =
+      MarginalQuery::Compute(data, MarginalSpec::EstablishmentMarginal())
+          .value();
+  auto cell = query.FindCell(IdleLabels());
+  ASSERT_TRUE(cell.ok()) << cell.status().ToString();
+  EXPECT_EQ(cell.value()->count, 0);
+}
+
+TEST(IdleEstablishmentTest, ComputeWorkloadReleasesItsCombination) {
+  const LodesDataset data = TinyData(/*idle_establishment=*/true);
+  const LodesDataset baseline = TinyData();
+  const WorkloadSpec workload = IdleEstablishmentWorkload();
+  const auto fresh = ComputeWorkload(data, workload).value();
+  table::GroupByCache cache;
+  ASSERT_TRUE(ComputeWorkload(data, workload, 1, &cache).ok());
+  WorkloadComputeStats warm_stats;
+  const auto warm =
+      ComputeWorkload(data, workload, 1, &cache, &warm_stats).value();
+  EXPECT_EQ(warm_stats.full_table_scans, 0);
+  for (size_t m = 0; m < workload.marginals.size(); ++m) {
+    const MarginalSpec& spec = workload.marginals[m];
+    const MarginalQuery expected =
+        MarginalQuery::Compute(baseline, spec).value();
+    const std::string columns = JoinForTest(spec.AllColumns());
+    ExpectIdleCombinationReleased(fresh[m], expected, "fresh " + columns);
+    ExpectIdleCombinationReleased(warm[m], expected, "warm " + columns);
+  }
+}
+
+TEST(IdleEstablishmentTest, RunReleaseWorkloadReleasesItsCombination) {
+  const LodesDataset data = TinyData(/*idle_establishment=*/true);
+  const LodesDataset baseline = TinyData();
+  release::WorkloadReleaseConfig config;
+  config.workload = IdleEstablishmentWorkload();
+  config.delta = 0.05;
+  Rng rng(11);
+  auto released_or = release::RunReleaseWorkload(data, config, nullptr, rng);
+  ASSERT_TRUE(released_or.ok()) << released_or.status().ToString();
+  auto expected_or =
+      release::RunReleaseWorkload(baseline, config, nullptr, rng);
+  ASSERT_TRUE(expected_or.ok()) << expected_or.status().ToString();
+  const auto& released = released_or.value();
+  const auto& expected = expected_or.value();
+  ASSERT_EQ(released.size(), config.workload.marginals.size());
+  for (size_t m = 0; m < released.size(); ++m) {
+    const MarginalSpec& spec = config.workload.marginals[m];
+    const size_t num_workplace = spec.workplace_attrs.size();
+    const size_t label_width = spec.AllColumns().size();
+    const MarginalQuery query = MarginalQuery::Compute(data, spec).value();
+    std::vector<std::vector<std::string>> rest;
+    int64_t idle_rows = 0;
+    for (const auto& row : released[m].rows) {
+      bool idle = num_workplace > 0;
+      for (size_t c = 0; c < num_workplace; ++c) {
+        idle = idle && row[c] == IdleLabels().at(spec.workplace_attrs[c]);
+      }
+      if (idle) {
+        ++idle_rows;
+      } else {
+        rest.emplace_back(row.begin(),
+                          row.begin() + static_cast<ptrdiff_t>(label_width));
+      }
+    }
+    const std::string context = released[m].name;
+    EXPECT_EQ(idle_rows, num_workplace == 0 ? 0 : query.WorkerDomainSize())
+        << context;
+    ASSERT_EQ(rest.size(), expected[m].rows.size()) << context;
+    for (size_t r = 0; r < rest.size(); ++r) {
+      const auto& row = expected[m].rows[r];
+      EXPECT_EQ(rest[r], std::vector<std::string>(
+                             row.begin(),
+                             row.begin() + static_cast<ptrdiff_t>(label_width)))
+          << context;
     }
   }
 }

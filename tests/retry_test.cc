@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <string>
+#include <vector>
+
 #include "common/clock.h"
 #include "common/status.h"
 
@@ -104,26 +108,29 @@ TEST(RetryTest, RetryableClassesAreExactlyIOErrorAndResourceExhausted) {
   EXPECT_FALSE(IsRetryableStatus(Status::Internal("x")));
 }
 
+// Backoff actually slept: the FakeClock's sleep log is the record.
+int64_t SleptMs(const FakeClock& clock) {
+  const std::vector<int64_t> sleeps = clock.sleeps();
+  return std::accumulate(sleeps.begin(), sleeps.end(), int64_t{0});
+}
+
 TEST(RetryTest, RetriesTransientFailuresThenSucceeds) {
   FakeClock clock;
   RetryPolicy policy;
   policy.initial_backoff_ms = 10;
   policy.max_attempts = 5;
   int calls = 0;
-  RetryStats stats;
-  const Status status = RetryStatus(
-      policy, &clock,
-      [&] {
-        ++calls;
-        return calls < 3 ? Status::IOError("transient") : Status::OK();
-      },
-      &stats);
-  EXPECT_TRUE(status.ok());
+  const Result<int> result = RetryResult(policy, &clock, [&]() -> Result<int> {
+    ++calls;
+    if (calls < 3) return Status::IOError("transient");
+    return calls;
+  });
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result.value(), 3);
   EXPECT_EQ(calls, 3);
-  EXPECT_EQ(stats.attempts, 3);
   // Two failures -> the first two schedule steps, and nothing more.
   EXPECT_EQ(clock.sleeps(), (std::vector<int64_t>{10, 20}));
-  EXPECT_EQ(stats.slept_ms, 30);
+  EXPECT_EQ(SleptMs(clock), 30);
 }
 
 TEST(RetryTest, NonRetryableStatusReturnsImmediately) {
@@ -131,11 +138,11 @@ TEST(RetryTest, NonRetryableStatusReturnsImmediately) {
   RetryPolicy policy;
   policy.max_attempts = 5;
   int calls = 0;
-  const Status status = RetryStatus(policy, &clock, [&] {
+  const Result<int> result = RetryResult(policy, &clock, [&]() -> Result<int> {
     ++calls;
     return Status::FailedPrecondition("corrupt manifest");
   });
-  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(calls, 1);
   EXPECT_TRUE(clock.sleeps().empty());
 }
@@ -146,16 +153,13 @@ TEST(RetryTest, AttemptCapEndsWithTheLastError) {
   policy.initial_backoff_ms = 5;
   policy.max_attempts = 3;
   int calls = 0;
-  RetryStats stats;
-  const Status status = RetryStatus(
-      policy, &clock, [&] {
-        ++calls;
-        return Status::IOError("attempt " + std::to_string(calls));
-      },
-      &stats);
-  EXPECT_EQ(status.code(), StatusCode::kIOError);
-  EXPECT_EQ(status.message(), "attempt 3");
-  EXPECT_EQ(stats.attempts, 3);
+  const Result<int> result = RetryResult(policy, &clock, [&]() -> Result<int> {
+    ++calls;
+    return Status::IOError("attempt " + std::to_string(calls));
+  });
+  EXPECT_EQ(result.status().code(), StatusCode::kIOError);
+  EXPECT_EQ(result.status().message(), "attempt 3");
+  EXPECT_EQ(calls, 3);
   // No sleep after the final attempt: 2 delays for 3 tries.
   EXPECT_EQ(clock.sleeps(), (std::vector<int64_t>{5, 10}));
 }
@@ -167,17 +171,14 @@ TEST(RetryTest, BudgetStopsBeforeOverrunningSleep) {
   policy.max_attempts = 10;
   policy.budget_ms = 35;  // 10 + 20 fit; the 40ms third delay would not
   int calls = 0;
-  RetryStats stats;
-  const Status status = RetryStatus(
-      policy, &clock, [&] {
-        ++calls;
-        return Status::IOError("still down");
-      },
-      &stats);
-  EXPECT_EQ(status.code(), StatusCode::kIOError);
+  const Result<int> result = RetryResult(policy, &clock, [&]() -> Result<int> {
+    ++calls;
+    return Status::IOError("still down");
+  });
+  EXPECT_EQ(result.status().code(), StatusCode::kIOError);
   EXPECT_EQ(calls, 3);
   EXPECT_EQ(clock.sleeps(), (std::vector<int64_t>{10, 20}));
-  EXPECT_EQ(stats.slept_ms, 30);
+  EXPECT_EQ(SleptMs(clock), 30);
 }
 
 TEST(RetryTest, RetryResultHandsBackTheFirstSuccessValue) {
@@ -186,18 +187,14 @@ TEST(RetryTest, RetryResultHandsBackTheFirstSuccessValue) {
   policy.initial_backoff_ms = 1;
   policy.max_attempts = 4;
   int calls = 0;
-  RetryStats stats;
-  Result<int> result = RetryResult(
-      policy, &clock,
-      [&]() -> Result<int> {
-        ++calls;
-        if (calls < 2) return Status::ResourceExhausted("busy");
-        return 42;
-      },
-      &stats);
+  Result<int> result = RetryResult(policy, &clock, [&]() -> Result<int> {
+    ++calls;
+    if (calls < 2) return Status::ResourceExhausted("busy");
+    return 42;
+  });
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result.value(), 42);
-  EXPECT_EQ(stats.attempts, 2);
+  EXPECT_EQ(calls, 2);
 
   Result<int> never = RetryResult(policy, &clock, [&]() -> Result<int> {
     return Status::NotFound("not transient");

@@ -9,8 +9,10 @@ registers via its glob) — so a bench rename cannot silently rot the
 benchmark book's repro commands. It also checks that every backticked
 `ns::Name` in README.md and docs/*.md, for `ns` a module directory under
 src/, names an identifier that src/<ns>/*.h declares — so a deleted or
-renamed symbol cannot linger in the docs. Exits nonzero listing each
-problem.
+renamed symbol cannot linger in the docs, and that every backticked
+mixed-case bare identifier with at least two capitals
+(`RunReleaseWorkload`, `ReleaseBatch()`) appears in the code of some src/
+file. Exits nonzero listing each problem.
 
 Usage: tools/check_docs.py [repo_root]
 """
@@ -268,28 +270,48 @@ QUALIFIED_RE = re.compile(r"\b([a-z_]+)::(?=([A-Za-z_]\w*))")
 # Comments and string literals, removed before collecting a header's
 # identifiers so a name that survives only in prose does not count.
 CPP_NOISE_RE = re.compile(r'//[^\n]*|/\*.*?\*/|"(?:\\.|[^"\\\n])*"', re.S)
+# A code span that is one bare identifier, optionally called: `Name` or
+# `Name()`. Only mixed-case names with at least two capitals are checked
+# (CamelCase types and functions, kConstants), so prose words, lower_snake
+# flags and all-caps file names such as `MANIFEST` pass through.
+BARE_SYMBOL_RE = re.compile(r"^([A-Za-z_]\w*)(?:\(\))?$")
+
+
+def is_checked_bare_name(name):
+    return (sum(c.isupper() for c in name) >= 2
+            and any(c.islower() for c in name))
+
+
+def code_identifiers(path):
+    """Identifiers in a C++ file's code, comments and strings stripped."""
+    with open(path, encoding="utf-8") as handle:
+        code = CPP_NOISE_RE.sub(" ", handle.read())
+    return set(re.findall(r"[A-Za-z_]\w*", code))
 
 
 def check_symbols(root):
     """Every backticked `ns::Name` in README.md and docs/*.md, where ns is
     a module directory under src/, must name an identifier that appears in
-    the code (comments and strings stripped) of some src/<ns>/*.h. Fenced
-    code blocks are skipped. Returns (checked, broken)."""
+    the code (comments and strings stripped) of some src/<ns>/*.h; every
+    backticked bare `Name` or `Name()` that is_checked_bare_name accepts
+    must appear in the code of some src/ .h or .cc file. Fenced code blocks are
+    skipped. Returns (checked, broken)."""
     src = os.path.join(root, "src")
     if not os.path.isdir(src):
         return 0, []
     declared = {}
+    in_code = set()
     for module in sorted(os.listdir(src)):
         module_dir = os.path.join(src, module)
         if not os.path.isdir(module_dir):
             continue
         names = set()
         for entry in os.listdir(module_dir):
-            if entry.endswith(".h"):
-                with open(os.path.join(module_dir, entry),
-                          encoding="utf-8") as handle:
-                    code = CPP_NOISE_RE.sub(" ", handle.read())
-                names |= set(re.findall(r"[A-Za-z_]\w*", code))
+            if entry.endswith((".h", ".cc")):
+                idents = code_identifiers(os.path.join(module_dir, entry))
+                in_code |= idents
+                if entry.endswith(".h"):
+                    names |= idents
         declared[module] = names
     docs = [os.path.join(root, "README.md")]
     docs_dir = os.path.join(root, "docs")
@@ -311,6 +333,13 @@ def check_symbols(root):
                 if in_fence:
                     continue
                 for span in CODE_SPAN_RE.findall(line):
+                    bare = BARE_SYMBOL_RE.match(span.strip())
+                    if bare and is_checked_bare_name(bare.group(1)):
+                        name = bare.group(1)
+                        refs.add(("", name))
+                        if name not in in_code:
+                            broken.append((os.path.relpath(path, root),
+                                           number, name))
                     for module, name in QUALIFIED_RE.findall(span):
                         if module not in declared:
                             continue
@@ -360,15 +389,18 @@ def main():
         print(f"OVERLOAD CONTRACT {path}:{number}: {what}")
     symbol_checked, symbol_broken = check_symbols(root)
     for path, number, symbol in symbol_broken:
-        print(f"UNKNOWN SYMBOL {path}:{number}: {symbol} (no "
-              f"src/{symbol.split('::')[0]}/*.h declares it)")
+        if "::" in symbol:
+            where = f"src/{symbol.split('::')[0]}/*.h declares it"
+        else:
+            where = "src/ code uses it"
+        print(f"UNKNOWN SYMBOL {path}:{number}: {symbol} (no {where})")
     print(f"checked {checked} relative links in "
           f"{len(list(markdown_files(root)))} markdown files, "
           f"{bench_checked} bench names in docs/BENCHMARKS.md, "
           f"{lint_checked} eep-lint rule ids, {fp_checked} failpoint "
           f"sites, {serve_checked} serve tests and {service_checked} "
           f"request-front tests in docs/ARCHITECTURE.md, {symbol_checked} "
-          f"module-qualified symbols in README.md and docs/; "
+          f"module-qualified and bare symbols in README.md and docs/; "
           f"{len(broken)} broken links, {len(bench_broken)} unknown benches, "
           f"{len(lint_broken)} unknown lint rules, "
           f"{len(fp_broken)} unknown failpoints, "
